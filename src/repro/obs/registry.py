@@ -9,8 +9,8 @@ Prometheus text format.
 Design constraints, in order:
 
 1. **Thread-safe.**  Every instrument is hammered from worker threads
-   (the serve :class:`~repro.serve.workers.WorkerPool`, encode thread
-   pools), so every read-modify-write holds a per-instrument lock.
+   (the serve :class:`~repro.serve.server.InferenceServer` workers,
+   encode thread pools), so every read-modify-write holds a per-instrument lock.
 2. **Lock-cheap.**  The locks are plain uncontended
    :class:`threading.Lock` acquisitions around a handful of scalar ops
    -- tens of nanoseconds -- and family/child lookup after creation is

@@ -55,11 +55,11 @@ from repro.serve.sharded import ShardedServeConfig, ShardedServer, ShardRouter
 from repro.serve.surface import (
     STATS_OPTIONAL_KEYS,
     STATS_REQUIRED_KEYS,
+    Prediction,
     ServingSurface,
     ServingSurfaceBase,
     validate_stats,
 )
-from repro.serve.workers import Prediction, WorkerPool
 
 __all__ = [
     "Backpressure",
@@ -100,5 +100,4 @@ __all__ = [
     "validate_stats",
     "WorkerError",
     "WorkerKilled",
-    "WorkerPool",
 ]

@@ -12,9 +12,9 @@ log/JSON-friendly.
 :class:`WorkerKilled` deliberately derives from :class:`BaseException`:
 it must *not* be swallowed by the worker's per-group ``except
 Exception`` recovery path -- it unwinds the worker thread the way a real
-crash would, exercising the pool's supervisor respawn and the
-fail-remaining-futures cleanup in
-:meth:`~repro.serve.workers.WorkerPool._run`.
+crash would, exercising the supervisor's respawn and the
+fail-remaining-futures cleanup of the thread server's worker loop
+(:meth:`~repro.serve.server.InferenceServer._run`).
 """
 
 from __future__ import annotations

@@ -86,6 +86,7 @@ class CircuitBreaker:
         self._opened_at = -math.inf
         self._probe_permits = 0
         self._probe_successes = 0
+        self._held = False
         # lifetime transition counters (exported via stats())
         self.opened = 0
         self.half_opened = 0
@@ -107,7 +108,7 @@ class CircuitBreaker:
     def _state_locked(self) -> str:
         # lazily perform the timed open -> half-open transition so a
         # reader observes the same state a caller of allow() would
-        if (self._state == OPEN
+        if (self._state == OPEN and not self._held
                 and self._time() - self._opened_at >= self.config.open_duration):
             self._state = HALF_OPEN
             self.half_opened += 1
@@ -214,6 +215,16 @@ class CircuitBreaker:
             self._state = OPEN
             self._opened_at = self._time()
             self.opened += 1
+
+    def hold_open(self) -> None:
+        """Trip the breaker for good: it never probes or closes again
+        (the supervisor's verdict on a worker that keeps crashing)."""
+        with self._lock:
+            if self._state != OPEN:
+                self.opened += 1
+            self._state = OPEN
+            self._opened_at = self._time()
+            self._held = True
 
     def stats(self) -> dict:
         """JSON-serializable snapshot for ``InferenceServer.stats()``."""

@@ -2,7 +2,7 @@
 
 :class:`InferenceServer` wires the pieces together::
 
-    submit() --> RequestQueue --> MicroBatcher --> WorkerPool --> Future
+    submit() --> RequestQueue --> MicroBatcher --> worker threads --> Future
                      |                 |                |
                  (bounded:      (sheds expired   ModelRegistry (hot swap)
                   rejects        requests)       LoadShedPolicy (dim shed)
@@ -38,6 +38,7 @@ shedding, and finally :class:`~repro.serve.errors.Backpressure`).
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -45,19 +46,18 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.config import UNSET, ComputeConfig
+from repro.obs import distributed as obs_distributed
 from repro.obs import trace as obs_trace
-from repro.obs.recorder import FlightRecorder
-from repro.obs.slo import SLOEngine, SLObjective
-from repro.serve.batcher import MicroBatcher
-from repro.serve.metrics import MetricsHub
-from repro.serve.policy import LoadShedPolicy
-from repro.serve.queue import QueueClosed, RequestQueue
-from repro.serve.registry import Deployment, Model, ModelRegistry
+from repro.obs.slo import SLObjective
+from repro.serve.errors import ServeError, WorkerError, WorkerKilled
+from repro.serve.registry import Deployment, Model
 from repro.serve.resilience.breaker import BreakerConfig
-from repro.serve.resilience.degrade import DegradationLadder, DegradeConfig
-from repro.serve.resilience.retry import RetryPolicy, RetryScheduler
-from repro.serve.surface import ServingSurfaceBase
-from repro.serve.workers import WorkerPool
+from repro.serve.resilience.degrade import DegradeConfig
+from repro.serve.surface import (
+    SUPERVISE_INTERVAL,
+    ServingSurfaceBase,
+    group_by_model,
+)
 
 _LEGACY_COMPUTE_KWARGS = ("engine", "encode_jobs", "train_engine")
 
@@ -130,11 +130,14 @@ class InferenceServer(ServingSurfaceBase):
     """Micro-batching, load-shedding, fault-tolerant HDC prediction service.
 
     One of the two :class:`~repro.serve.surface.ServingSurface`
-    backends (the GIL-bound thread-pool one; see
+    backends: the GIL-bound thread-pool one (see
     :class:`~repro.serve.sharded.server.ShardedServer` for the
-    process-sharded one).  Request admission, the predict conveniences
-    and the ``stats()`` schema live in
-    :class:`~repro.serve.surface.ServingSurfaceBase`.
+    process-sharded one).  The whole request lifecycle -- admission,
+    expiry, retry-or-fail, resolution, supervision and ``stats()`` --
+    lives in :class:`~repro.serve.surface.ServingSurfaceBase`; this
+    class is only the transport: ``n_workers`` threads that each pull
+    a micro-batch and run :meth:`Deployment.encode` then
+    :meth:`Deployment.search` inline.
 
     ``chaos`` (a :class:`~repro.serve.resilience.chaos.ChaosPolicy`)
     attaches the fault-injection harness; production servers leave it
@@ -142,54 +145,10 @@ class InferenceServer(ServingSurfaceBase):
     """
 
     def __init__(self, config: Optional[ServeConfig] = None, chaos=None):
-        self.config = config or ServeConfig()
-        c = self.config
-        self.chaos = chaos
-        self.metrics = MetricsHub()
-        self.registry = ModelRegistry()
-        self.policy = LoadShedPolicy(
-            max_level=c.max_shed_level,
-            queue_high=c.queue_high,
-            queue_low=c.queue_low,
-            p95_target=c.p95_target,
-            cooldown=c.shed_cooldown,
-            window=c.latency_window,
-        )
-        self.queue = RequestQueue(maxsize=c.queue_size)
-        self.batcher = MicroBatcher(
-            self.queue, max_batch=c.max_batch, max_wait=c.max_wait
-        )
-        self.ladder = DegradationLadder(
-            self.registry, self.policy, metrics=self.metrics,
-            config=c.degrade,
-        )
-        self.retry_policy = RetryPolicy(
-            max_retries=c.max_retries,
-            backoff=c.retry_backoff,
-            backoff_factor=c.retry_backoff_factor,
-            max_backoff=c.retry_max_backoff,
-        )
-        self.scheduler = RetryScheduler(self.queue)
-        self.recorder = FlightRecorder(dir=c.postmortem_dir)
-        self.slo = (SLOEngine(c.slos, registry=self.metrics.registry,
-                              ladder=self.ladder)
-                    if c.slos else None)
-        self.workers = WorkerPool(
-            self.batcher, self.registry, self.policy, self.metrics,
-            n_workers=c.n_workers,
-            chaos=chaos,
-            breaker_config=c.breaker,
-            retry_policy=self.retry_policy,
-            retry_scheduler=self.scheduler,
-            ladder=self.ladder,
-            slo=self.slo,
-            recorder=self.recorder,
-        )
-        # the batcher sheds expired requests straight into the pool's
-        # DeadlineExceeded path instead of batching them
-        self.batcher.on_expired = self.workers.expire_request
-        self._started = False
-        self._metrics_endpoint = None
+        config = config or ServeConfig()
+        super().__init__(config, chaos, config.n_workers)
+        self._threads: Dict[int, threading.Thread] = {}
+        self._busy = [0.0] * config.n_workers
 
     # -- deployments --------------------------------------------------------
 
@@ -232,85 +191,123 @@ class InferenceServer(ServingSurfaceBase):
         ).labels(model=name).set(dep.version)
         return dep
 
-    # -- lifecycle ----------------------------------------------------------
+    # -- the thread transport -----------------------------------------------
 
-    def start(self) -> "InferenceServer":
-        if self._started:
-            raise RuntimeError("server already started")
-        self._started = True
-        # the flight recorder rides the trace-sink interface: while
-        # tracing is enabled the span ring fills for free; the event
-        # ring fills regardless
-        obs_trace.add_sink(self.recorder)
-        self.scheduler.start()
-        self.workers.start()
-        return self
+    def _start_transport(self) -> None:
+        for i in range(len(self.breakers)):
+            self._respawn(i)
 
-    def stop(self, timeout: Optional[float] = 5.0) -> None:
-        """Stop admitting work, drain workers, fail leftover futures."""
-        if self._metrics_endpoint is not None:
-            self._metrics_endpoint.close()
-            self._metrics_endpoint = None
-        if not self._started:
+    def _respawn(self, worker: int) -> None:
+        thread = threading.Thread(target=self._run, args=(worker,),
+                                  name=f"serve-worker-{worker}", daemon=True)
+        self._threads[worker] = thread
+        thread.start()
+
+    def _worker_alive(self, worker: int) -> bool:
+        return self._threads[worker].is_alive()
+
+    def _stop_transport(self, timeout: Optional[float]) -> None:
+        for thread in list(self._threads.values()):
+            thread.join(timeout=timeout)
+
+    @property
+    def running(self) -> bool:
+        """Whether any worker thread is still alive."""
+        return any(t.is_alive() for t in list(self._threads.values()))
+
+    def _busy_seconds(self) -> List[float]:
+        return list(self._busy)
+
+    def _run(self, worker: int) -> None:
+        breaker = self.breakers[worker]
+        while True:
+            if not breaker.allow():
+                # open breaker: sit out, let the rest of the pool drain
+                if self._stop.is_set() or self.queue.closed:
+                    return
+                time.sleep(SUPERVISE_INTERVAL)
+                continue
+            batch = self.batcher.next_batch(timeout=SUPERVISE_INTERVAL)
+            if not batch:
+                if self._stop.is_set() or self.queue.closed:
+                    return
+                continue
+            self.metrics.histogram("batch_size").record(len(batch))
+            t0 = time.monotonic()
+            groups = group_by_model(batch)
+            try:
+                for model in list(groups):
+                    self._serve_group(worker, model, groups.pop(model))
+            except WorkerKilled:
+                # the thread dies like a crashed worker would: _open
+                # booked the killed group, the groups never reached
+                # retry or fail, and the supervisor respawns the thread
+                err = WorkerError(f"worker {worker} died mid-batch",
+                                  worker=worker, retryable=True)
+                for requests in groups.values():
+                    for req in requests:
+                        self._fail_or_retry(req, err)
+                return
+            finally:
+                self._busy[worker] += time.monotonic() - t0
+            self._after_batch()
+
+    def _serve_group(self, worker: int, model: str, requests) -> None:
+        batch = self._open(worker, model, requests)
+        if batch is None:
             return
-        obs_trace.remove_sink(self.recorder)
-        self.queue.close()
-        self.workers.stop(timeout=timeout)
-        self.scheduler.stop(timeout=timeout)
-        for req in self.queue.drain():
-            if not req.future.done():
-                req.future.set_exception(
-                    QueueClosed("server stopped before request was served")
+        dep = batch.dep
+        # a micro-batch coalesces many traces; its spans parent under
+        # the first traced request (the "leader") and carry the other
+        # trace ids as links so no trace is orphaned entirely
+        attrs = {"model": model, "batch": len(batch.requests)}
+        if batch.ctx is not None:
+            links = [obs_distributed.fmt_id(r.ctx.trace_id)
+                     for r in batch.requests
+                     if r.ctx is not None and r.ctx is not batch.ctx][:16]
+            if links:
+                attrs["links"] = links
+        try:
+            # serving() brackets the batch so ModelRegistry.swap can
+            # drain this (possibly outgoing) version precisely
+            with dep.serving(), obs_distributed.use_context(batch.ctx):
+                X = np.stack([r.x for r in batch.requests])
+                t0 = time.monotonic()
+                with obs_trace.span("serve.encode", **attrs):
+                    encoded = dep.encode(X)
+                t1 = time.monotonic()
+                with obs_trace.span("serve.search", dim=batch.dim,
+                                    **attrs) as sp:
+                    if batch.fault is not None:
+                        spec, rng = batch.fault
+                        labels = dep.search(encoded, dim=batch.dim,
+                                            fault=spec, rng=rng)
+                    else:
+                        labels = dep.search(encoded, dim=batch.dim)
+                    if sp.recording:
+                        # similarity against every class over the served
+                        # prefix: one MAC per (request, class, dimension)
+                        n_classes = (len(dep.model.class_words)
+                                     if dep.kind == "packed"
+                                     else dep.model.n_classes)
+                        macs = len(batch.requests) * n_classes * batch.dim
+                        sp.add_ops(add_ops=macs, mul_ops=macs,
+                                   mem_bytes=n_classes * batch.dim * 8)
+                t2 = time.monotonic()
+        except Exception as exc:
+            # structured failure: record on the breaker, then retry or
+            # fail every future -- never leave one unresolved
+            if not isinstance(exc, ServeError):
+                # unknown model exceptions are deterministic: re-running
+                # the same batch would fail the same way
+                exc = WorkerError(
+                    f"{type(exc).__name__} while serving {model!r}: {exc}",
+                    model=model, worker=worker, retryable=False, cause=exc,
                 )
-        self._started = False
-
-    # -- introspection ------------------------------------------------------
-    # submit/predict/predict_many/predict_encoded, the context manager
-    # and the stats() assembly come from ServingSurfaceBase; the hooks
-    # below feed it the thread-pool specifics.
-
-    def _breaker_list(self):
-        return self.workers.breakers
-
-    def _restart_count(self) -> int:
-        return self.workers.worker_restarts
-
-    def worker_utilization(self) -> Dict[str, List[float]]:
-        """Per-worker busy time and served-request counts (snapshot)."""
-        return self.workers.worker_utilization()
-
-    def render_prometheus(self) -> str:
-        """Prometheus text-format exposition of the serving metrics.
-
-        Queue depth, shed level and per-worker breaker state appear as
-        the ``queue_depth`` / ``shed_level`` / ``breaker_state`` gauges
-        the workers and supervisor maintain.
-        """
-        return self.metrics.render_prometheus()
-
-    def start_metrics_endpoint(self, host: str = "127.0.0.1",
-                               port: int = 0):
-        """Expose :meth:`render_prometheus` on an HTTP ``/metrics`` route.
-
-        Returns the live :class:`~repro.obs.export.PrometheusEndpoint`
-        (its ``url``/``port`` tell you where it bound; ``port=0`` picks
-        a free one).  Closed automatically by :meth:`stop`.
-        """
-        if self._metrics_endpoint is not None:
-            raise RuntimeError("metrics endpoint already started")
-        from repro.obs.export import PrometheusEndpoint
-
-        self._metrics_endpoint = PrometheusEndpoint(
-            self.metrics.registry, host=host, port=port
-        )
-        return self._metrics_endpoint
-
-    def wait_idle(self, timeout: float = 10.0,
-                  poll: float = 0.005) -> bool:
-        """Block until the queue and retry heap are empty (best effort)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.queue.depth() == 0 and self.scheduler.pending() == 0:
-                return True
-            time.sleep(poll)
-        return self.queue.depth() == 0 and self.scheduler.pending() == 0
+            self._fail_requests(worker, batch.requests, exc, batch.t_start)
+            self._take(batch.seq)
+            return
+        self.metrics.histogram("encode").record(t1 - t0)
+        self.metrics.histogram("search").record(t2 - t1)
+        self._resolve(batch, labels)
+        self._take(batch.seq)

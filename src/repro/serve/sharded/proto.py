@@ -19,15 +19,16 @@ Parent -> worker::
 
     (DEPLOY, name, image_spec)                install/replace a model
     (SWAP, name, image_spec, ack_seq)         flip to a new epoch, ack
-    (PREDICT, seq, name, X, dim, fault_draw[, ctx])  full encode+search
-    (ENCODE, seq, name, X[, ctx])             encode stage only
-    (SEARCH, seq, name, query_words, dim, k, rows[, ctx])  shard top-k
+    (PREDICT, seq, name, X, dim, fault_draw[, ctx])  encode + search
     (ENGINE, name, engine_or_None)            degradation tier-1 toggle
     (TRACE, enabled)                          runtime tracing toggle
     (STATS, seq)                              metrics/RSS snapshot
     (STOP,)                                   exit the worker loop
 
-The optional trailing ``ctx`` on the serving kinds is a
+``fault_draw`` is ``None`` or the chaos policy's ``(FaultSpec, rng)``
+draw: the worker corrupts a clone of the class words with exactly that
+generator, so a seeded chaos run flips the same bits on either server.
+The optional trailing ``ctx`` on :data:`PREDICT` is a
 :meth:`~repro.obs.distributed.TraceContext.to_wire` tuple -- the
 submitting request's ``(trace_id, parent span_id)``.  A worker opens
 its ``serve.encode``/``serve.search`` spans under it, so the spans it
@@ -37,11 +38,11 @@ as absent), keeping mixed-version queues harmless.
 
 Worker -> parent (one shared result queue)::
 
-    (shard_id, OK, seq, payload[, records])  payload depends on request
-                                      kind; when the worker is tracing,
-                                      the batch's finished span records
-                                      piggyback as the optional fifth
-                                      element (one message, not two)
+    (shard_id, OK, seq, labels[, records])  the batch's labels; when the
+                                      worker is tracing, the batch's
+                                      finished span records piggyback as
+                                      the optional fifth element (one
+                                      message, not two)
     (shard_id, ERR, seq, err_dict)    structured ServeError.to_dict()
     (shard_id, ACK, ack_seq, name)    swap acknowledged
     (shard_id, STATS_R, seq, stats)   registry state + process gauges
@@ -51,15 +52,10 @@ Worker -> parent (one shared result queue)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
 # parent -> worker kinds
 DEPLOY = "deploy"
 SWAP = "swap"
 PREDICT = "predict"
-ENCODE = "encode"
-SEARCH = "search"
 ENGINE = "engine"
 TRACE = "trace"
 STATS = "stats"
@@ -72,40 +68,3 @@ ACK = "ack"
 STATS_R = "stats_r"
 SPANS = "spans"
 
-
-@dataclass
-class PendingBatch:
-    """Parent-side state of one dispatched batch.
-
-    ``requests`` are the live :class:`~repro.serve.queue.Request`
-    objects whose futures this batch resolves.  For partition mode the
-    batch goes through two phases (encode on one shard, then a top-k
-    broadcast) and ``await_shards`` / ``partials`` track the scatter;
-    replica mode resolves in one hop.  ``dead`` marks a batch that was
-    already failed/retried (e.g. its shard crashed) so straggling
-    responses for the same seq are dropped instead of double-resolving.
-    """
-
-    seq: int
-    model: str
-    requests: List[object]
-    dim: int
-    shed_level: int
-    #: deployment version at dispatch time -- FIFO queues guarantee a
-    #: pre-swap batch is served by the pre-swap model, so this (not the
-    #: resolve-time registry version) is what the prediction must carry
-    version: int = 0
-    shard: Optional[int] = None          # replica mode / encode phase
-    t_dispatch: float = 0.0
-    phase: str = PREDICT                 # PREDICT | ENCODE | SEARCH
-    query_words: Optional[object] = None
-    await_shards: Tuple[int, ...] = ()
-    partials: Dict[int, object] = field(default_factory=dict)
-    dead: bool = False
-    #: the leader request's TraceContext (trace_id + root span id) when
-    #: the batch was submitted under tracing; None otherwise
-    ctx: Optional[object] = None
-    #: span id of the parent-side ``serve.dispatch`` span bracketing
-    #: this batch -- worker spans parent under it, and the span record
-    #: itself is emitted at resolve time with exactly this id
-    dispatch_span_id: Optional[int] = None

@@ -1,24 +1,11 @@
-"""Shard routing: consistent hashing, class partitions, exact top-k merge.
+"""Shard routing: a consistent-hash ring with a least-loaded override.
 
-Two sharding shapes, both pure functions of the model structure (no
-processes in this module, so the exactness property is unit-testable in
-isolation):
-
-- **replica** -- every shard holds the full model; the router spreads
-  batches with a consistent-hash ring (stable across processes: Python's
-  builtin ``hash`` is per-process salted, so keys hash through crc32)
-  and falls back to the least-loaded shard when the ring's pick is
-  overloaded or its breaker is open.
-- **partition** -- shard ``s`` owns a contiguous slice of class rows;
-  each shard answers a top-k over *its* rows with **global** row
-  indices, and :func:`merge_topk` recombines the per-shard lists by the
-  lexicographic ``(distance, row)`` key.  Because a stable sort over
-  the full distance matrix orders ties exactly the way ``np.argmin``
-  breaks them (first occurrence), the merged argmin is bit-identical to
-  single-process :meth:`~repro.core.packed.PackedModel.predict_packed`
-  -- HDC's associative search is additive over class rows, so sharding
-  it loses nothing (the same structure SHEARer exploits across
-  dimension folds).
+Every shard holds the full model (replica routing).  The router spreads
+batches with a consistent-hash ring (stable across processes: Python's
+builtin ``hash`` is per-process salted, so keys hash through crc32)
+and falls back to the least-loaded shard when the ring's pick is
+overloaded or its breaker is open.  No processes live in this module,
+so routing is unit-testable in isolation.
 """
 
 from __future__ import annotations
@@ -26,11 +13,9 @@ from __future__ import annotations
 import bisect
 import threading
 import zlib
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-import numpy as np
-
-__all__ = ["stable_hash", "partition_classes", "merge_topk", "ShardRouter"]
+__all__ = ["stable_hash", "ShardRouter"]
 
 
 def stable_hash(key: object) -> int:
@@ -40,78 +25,23 @@ def stable_hash(key: object) -> int:
     return zlib.crc32(key) & 0xFFFFFFFF
 
 
-def partition_classes(n_classes: int, n_shards: int) -> List[slice]:
-    """Contiguous class-row slices, sizes differing by at most one.
-
-    Shards beyond ``n_classes`` get empty slices (they simply answer
-    empty top-k lists); row coverage is exact and disjoint.
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    base, extra = divmod(n_classes, n_shards)
-    slices, lo = [], 0
-    for s in range(n_shards):
-        hi = lo + base + (1 if s < extra else 0)
-        slices.append(slice(lo, hi))
-        lo = hi
-    return slices
-
-
-def merge_topk(
-    dists: Sequence[np.ndarray], rows: Sequence[np.ndarray], k: int = 1
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Exactly merge per-shard top-k lists into a global top-k.
-
-    ``dists[s]`` / ``rows[s]`` are one shard's ``(N, k_s)`` best
-    distances and *global* row indices (as returned by
-    :meth:`PackedModel.topk_to_classes`).  The merge key is the
-    lexicographic ``(distance, row)`` pair -- ``np.lexsort``'s last key
-    is primary -- which reproduces ``np.argmin``'s first-occurrence
-    tie-breaking, so ``merged_rows[:, 0]`` equals the single-process
-    argmin row for every query, bit for bit.
-    """
-    live = [(d, r) for d, r in zip(dists, rows) if d.shape[1] > 0]
-    if not live:
-        raise ValueError("merge_topk: every shard returned an empty top-k")
-    D = np.concatenate([d for d, _ in live], axis=1)
-    R = np.concatenate([r for _, r in live], axis=1)
-    order = np.lexsort((R, D))[:, : max(1, int(k))]
-    return (np.take_along_axis(D, order, axis=1),
-            np.take_along_axis(R, order, axis=1))
-
-
 class ShardRouter:
-    """Routes batches to shards; merges partitioned search results.
+    """Routes batches to shards.
 
-    In replica mode :meth:`pick` consults a consistent-hash ring of
-    ``vnodes`` virtual nodes per shard -- same key, same shard, across
-    restarts -- then applies a least-loaded override: if the ring's
-    choice already carries ``imbalance`` more in-flight batches than
-    the least-loaded shard (or is excluded, e.g. open breaker / dead
-    process), the batch goes to the least-loaded eligible shard
-    instead.  Load is tracked by :meth:`dispatched`/:meth:`completed`.
-
-    In partition mode every shard owns ``slices[s]`` of the class rows
-    and search batches broadcast to all shards; :meth:`pick` still
-    load-balances the encode phase.
+    :meth:`pick` consults a consistent-hash ring of ``vnodes`` virtual
+    nodes per shard -- same key, same shard, across restarts -- then
+    applies a least-loaded override: if the ring's choice already
+    carries ``imbalance`` more in-flight batches than the least-loaded
+    shard (or is excluded, e.g. open breaker / dead process), the batch
+    goes to the least-loaded eligible shard instead.  Load is tracked
+    by :meth:`dispatched`/:meth:`completed`.
     """
 
-    def __init__(self, n_shards: int, mode: str = "replica",
-                 n_classes: Optional[int] = None,
-                 vnodes: int = 64, imbalance: int = 2):
-        if mode not in ("replica", "partition"):
-            raise ValueError(
-                f"mode must be 'replica' or 'partition', got {mode!r}"
-            )
+    def __init__(self, n_shards: int, vnodes: int = 64, imbalance: int = 2):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if mode == "partition" and n_classes is None:
-            raise ValueError("partition mode needs n_classes")
         self.n_shards = n_shards
-        self.mode = mode
         self.imbalance = int(imbalance)
-        self.slices = (partition_classes(n_classes, n_shards)
-                       if mode == "partition" else None)
         # consistent-hash ring: vnodes points per shard on a 32-bit circle
         points = []
         for shard in range(n_shards):
@@ -164,16 +94,3 @@ class ShardRouter:
                     or self._loads[choice] > self._loads[least] + self.imbalance):
                 return least
         return choice
-
-    # -- partitioned search --------------------------------------------------
-
-    def shard_rows(self, shard: int) -> slice:
-        if self.slices is None:
-            raise RuntimeError("shard_rows is only defined in partition mode")
-        return self.slices[shard]
-
-    def merge(self, partials: dict, k: int = 1):
-        """Merge ``{shard: (dists, rows)}`` partials (partition mode)."""
-        shards = sorted(partials)
-        return merge_topk([partials[s][0] for s in shards],
-                          [partials[s][1] for s in shards], k=k)

@@ -9,9 +9,6 @@ physical copy), and drains its FIFO task queue:
 
 - :data:`~repro.serve.sharded.proto.PREDICT` runs both inference
   stages (encode + prefix-Hamming search) on the batch;
-- :data:`~repro.serve.sharded.proto.ENCODE` /
-  :data:`~repro.serve.sharded.proto.SEARCH` split the stages for the
-  class-partitioned mode (encode once on one shard, top-k everywhere);
 - :data:`~repro.serve.sharded.proto.SWAP` attaches the next epoch's
   segment, flips the served model, detaches the old mapping and acks --
   FIFO ordering means the ack certifies every pre-swap batch answered;
@@ -22,7 +19,8 @@ physical copy), and drains its FIFO task queue:
   (the parent forwards its own tracing state so ``--trace out.jsonl``
   sessions capture worker spans).
 
-When tracing is on, the serving kinds open ``serve.encode`` /
+When tracing is on, :data:`~repro.serve.sharded.proto.PREDICT` opens
+``serve.encode`` /
 ``serve.search`` spans under the :class:`~repro.obs.distributed.
 TraceContext` wired in with the message, buffer the finished records
 locally, and ship them back as :data:`~repro.serve.sharded.proto.SPANS`
@@ -39,9 +37,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Optional
 
 from repro.core.packed import PackedModel
 from repro.core.shared import SharedImageSpec, SharedModelArena
@@ -105,10 +101,8 @@ def shm_mapping_kb(segment: str) -> Dict[str, int]:
 class _ShardState:
     """Everything one worker process keeps between messages."""
 
-    def __init__(self, shard_id: int, rows: Optional[Tuple[int, int]]):
+    def __init__(self, shard_id: int):
         self.shard_id = shard_id
-        #: class-row span (lo, hi) this shard owns; None = full replica
-        self.rows = rows
         self.arena = SharedModelArena(prefix="shardw")
         self.models: Dict[str, PackedModel] = {}
         self.segments: Dict[str, str] = {}
@@ -198,8 +192,7 @@ class _SpanBuffer:
         return records
 
 
-def worker_main(shard_id: int, rows: Optional[Tuple[int, int]],
-                task_queue, result_queue,
+def worker_main(shard_id: int, task_queue, result_queue,
                 deployments: Dict[str, SharedImageSpec],
                 trace_enabled: bool = False) -> None:
     """Run one shard worker until :data:`~proto.STOP` (or queue EOF).
@@ -209,7 +202,7 @@ def worker_main(shard_id: int, rows: Optional[Tuple[int, int]],
     without this flag a ``--trace`` session would silently lose every
     worker span.  The :data:`~proto.TRACE` message toggles it later.
     """
-    state = _ShardState(shard_id, rows)
+    state = _ShardState(shard_id)
     hist = state.registry.histogram("stage_seconds", labels=("stage",))
     served_ctr = state.registry.counter("served")
     batches_ctr = state.registry.counter("batches")
@@ -258,71 +251,35 @@ def worker_main(shard_id: int, rows: Optional[Tuple[int, int]],
                 )
                 continue
 
-            # -- the serving kinds: PREDICT / ENCODE / SEARCH ----------------
-            seq, name = msg[1], msg[2]
+            # -- the serving kind: PREDICT ---------------------------------
+            _, seq, name, X, dim, fault_draw, *rest = msg
+            ctx = obs_distributed.TraceContext.from_wire(
+                rest[0] if rest else None
+            )
             t0 = time.monotonic()
             try:
                 model = state.model(name)
-                if kind == proto.PREDICT:
-                    _, _, _, X, dim, fault_draw, *rest = msg
-                    ctx = obs_distributed.TraceContext.from_wire(
-                        rest[0] if rest else None
+                scored = model
+                if fault_draw is not None:
+                    # the parent's draw, generator and all: the same
+                    # bits flip as on the thread server
+                    spec_f, rng = fault_draw
+                    scored = model.with_words(
+                        spec_f.corrupt_words(model.class_words, rng)
                     )
-                    scored = model
-                    if fault_draw is not None:
-                        spec_f, child_seed = fault_draw
-                        rng = np.random.default_rng(child_seed)
-                        scored = model.with_words(
-                            spec_f.corrupt_words(model.class_words, rng)
-                        )
-                    with obs_distributed.use_context(ctx):
-                        with obs_trace.span("serve.encode", shard=shard_id,
-                                            model=name, batch=len(X)):
-                            words = model.encode_packed(X)
-                        t1 = time.monotonic()
-                        with obs_trace.span("serve.search", shard=shard_id,
-                                            model=name, batch=len(X)):
-                            labels = scored.predict_packed(words, dim=dim)
-                    t2 = time.monotonic()
-                    hist.labels(stage="encode").record(t1 - t0)
-                    hist.labels(stage="search").record(t2 - t1)
-                    served_ctr.inc(len(labels))
-                    state.served += len(labels)
-                    payload = (proto.PREDICT, labels)
-                elif kind == proto.ENCODE:
-                    _, _, _, X, *rest = msg
-                    ctx = obs_distributed.TraceContext.from_wire(
-                        rest[0] if rest else None
-                    )
-                    with obs_distributed.use_context(ctx), obs_trace.span(
-                        "serve.encode", shard=shard_id, model=name,
-                        batch=len(X),
-                    ):
+                with obs_distributed.use_context(ctx):
+                    with obs_trace.span("serve.encode", shard=shard_id,
+                                        model=name, batch=len(X)):
                         words = model.encode_packed(X)
-                    hist.labels(stage="encode").record(
-                        time.monotonic() - t0
-                    )
-                    payload = (proto.ENCODE, words)
-                elif kind == proto.SEARCH:
-                    _, _, _, words, dim, k, rows, *rest = msg
-                    ctx = obs_distributed.TraceContext.from_wire(
-                        rest[0] if rest else None
-                    )
-                    if rows is None:
-                        rows = state.rows
-                    rows_slice = slice(*rows) if rows is not None else None
-                    with obs_distributed.use_context(ctx), obs_trace.span(
-                        "serve.search", shard=shard_id, model=name,
-                    ):
-                        dists, row_idx = model.topk_to_classes(
-                            words, k=k, dim=dim, rows=rows_slice
-                        )
-                    hist.labels(stage="search").record(
-                        time.monotonic() - t0
-                    )
-                    payload = (proto.SEARCH, (dists, row_idx))
-                else:
-                    raise ValueError(f"unknown message kind {kind!r}")
+                    t1 = time.monotonic()
+                    with obs_trace.span("serve.search", shard=shard_id,
+                                        model=name, batch=len(X)):
+                        labels = scored.predict_packed(words, dim=dim)
+                t2 = time.monotonic()
+                hist.labels(stage="encode").record(t1 - t0)
+                hist.labels(stage="search").record(t2 - t1)
+                served_ctr.inc(len(labels))
+                state.served += len(labels)
             except BaseException as exc:  # noqa: BLE001 - ships to parent
                 errors_ctr.inc()
                 result_queue.put(
@@ -345,10 +302,10 @@ def worker_main(shard_id: int, rows: Optional[Tuple[int, int]],
                 # IPC cost of tracing, and guarantees the parent sees
                 # the worker spans before it resolves the futures
                 result_queue.put(
-                    (shard_id, proto.OK, seq, payload, span_buf.drain())
+                    (shard_id, proto.OK, seq, labels, span_buf.drain())
                 )
             else:
-                result_queue.put((shard_id, proto.OK, seq, payload))
+                result_queue.put((shard_id, proto.OK, seq, labels))
     finally:
         state.models.clear()
         state.arena.close_all()

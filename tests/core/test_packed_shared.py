@@ -123,34 +123,3 @@ class TestSharedImage:
             kernel = clone.encoder._kernel
             assert kernel is not None
             assert kernel.tables.base is not None  # mapped, not rebuilt
-
-
-class TestTopK:
-    def test_topk_matches_predict_packed(self, packed_setup):
-        pm, X = packed_setup
-        q = pm.encode_packed(X[:32])
-        ref = pm.predict_packed(q)
-        _, rows = pm.topk_to_classes(q, k=1)
-        np.testing.assert_array_equal(pm.class_labels[rows[:, 0]], ref)
-
-    def test_topk_rows_slice_returns_global_indices(self, packed_setup):
-        pm, X = packed_setup
-        q = pm.encode_packed(X[:8])
-        n = len(pm.class_labels)
-        lo, hi = 1, n
-        dists, rows = pm.topk_to_classes(q, k=2, rows=slice(lo, hi))
-        assert rows.min() >= lo
-        full = pm.hamming_to_classes(q)
-        expect_rows = np.argsort(full[:, lo:hi], axis=1,
-                                 kind="stable")[:, :2] + lo
-        np.testing.assert_array_equal(rows, expect_rows)
-        np.testing.assert_array_equal(
-            dists, np.take_along_axis(full, expect_rows, axis=1)
-        )
-
-    def test_topk_prefix_dim(self, packed_setup):
-        pm, X = packed_setup
-        q = pm.encode_packed(X[:16])
-        ref = pm.predict_packed(q, dim=128)
-        _, rows = pm.topk_to_classes(q, k=1, dim=128)
-        np.testing.assert_array_equal(pm.class_labels[rows[:, 0]], ref)

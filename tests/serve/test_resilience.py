@@ -113,6 +113,15 @@ class TestCircuitBreaker:
         breaker.force_open()
         assert breaker.state == OPEN and not breaker.allow()
 
+    def test_hold_open_never_probes(self):
+        breaker, clock = self.make()
+        breaker.hold_open()
+        clock.advance(1e6)
+        assert breaker.state == OPEN and not breaker.allow()
+        breaker.record_success()
+        assert breaker.state == OPEN
+        assert breaker.opened == 1
+
     def test_state_codes(self):
         breaker, clock = self.make()
         assert breaker.state_code == 0
@@ -287,15 +296,15 @@ class TestChaosEndToEnd:
             futures = [server.submit("m", x) for x in serve_queries[:40]]
             ok, failures = _drain(futures)
             deadline = time.monotonic() + 5.0
-            while (server.workers.worker_restarts < chaos.injected_kills
+            while (server.worker_restarts < chaos.injected_kills
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
-            restarts = server.workers.worker_restarts
+            restarts = server.worker_restarts
         assert not failures
         assert len(ok) == 40
         assert chaos.injected_kills == 4
         assert restarts >= chaos.injected_kills
-        assert not server.workers.running  # clean shutdown afterwards
+        assert not server.running  # clean shutdown afterwards
 
     def test_no_hung_futures_after_stop(self, serve_classifier,
                                         serve_queries):
@@ -480,7 +489,7 @@ class TestDegradationLadder:
         ))
         server.register("m", serve_classifier)
         with server:
-            for b in server.workers.breakers:
+            for b in server.breakers:
                 b.force_open()
             deadline = time.monotonic() + 5.0
             while server.ladder.tier == 0 and time.monotonic() < deadline:

@@ -215,7 +215,8 @@ class TestStatsSchema:
             "kind", "dim", "min_dim", "version", "serving_dim", "degraded",
         }
         assert set(stats["resilience"]) == {
-            "breakers", "ladder", "retry", "worker_restarts", "chaos",
+            "breakers", "ladder", "retry", "worker_restarts", "failed",
+            "chaos",
         }
         assert [b["state"] for b in stats["resilience"]["breakers"]] == [
             "closed", "closed",

@@ -82,24 +82,6 @@ class TestReplicaMode:
         assert dep["segment"] is not None and dep["epoch"] >= 1
 
 
-class TestPartitionMode:
-    def test_bit_exact_vs_single_process(self, serve_classifier,
-                                         serve_packed, serve_queries):
-        server = ShardedServer(_config(mode="partition"))
-        server.register("m", serve_classifier)
-        q = serve_queries[:24]
-        ref = serve_packed.predict_packed(serve_packed.encode_packed(q))
-        with server:
-            preds = server.predict_many("m", q, timeout=60.0)
-            np.testing.assert_array_equal([p.label for p in preds], ref)
-        assert _no_leaked_segments(server)
-
-    def test_partition_requires_registered_model(self):
-        server = ShardedServer(_config(mode="partition"))
-        with pytest.raises(RuntimeError, match="partition mode"):
-            server.start()
-
-
 class TestHotSwap:
     def test_swap_under_load_drops_nothing(self, serve_classifier,
                                            serve_queries):

@@ -3,10 +3,9 @@
 The acceptance checks for the observability tentpole:
 
 - one ``trace_id`` follows a request from ``submit`` through the
-  batcher into a shard *worker process* and back to the response, in
-  both replica and class-partitioned routing modes, with the worker's
-  ``serve.encode``/``serve.search`` spans re-parented under the
-  submitting request's trace in the exported JSONL;
+  batcher into a shard *worker process* and back to the response, with
+  the worker's ``serve.encode``/``serve.search`` spans re-parented
+  under the submitting request's trace in the exported JSONL;
 - an injected chaos kill produces a flight-recorder postmortem bundle
   containing the affected trace;
 - the SLO engine's burn-rate gauge reacts within one evaluation
@@ -68,7 +67,7 @@ def run_traced(server, queries, n=6):
     return sink, preds
 
 
-def assert_request_tree(sink, pred, partition=False):
+def assert_request_tree(sink, pred):
     """One request's span tree: root <- dispatch <- worker spans."""
     assert pred.trace_id is not None and HEX_ID.match(pred.trace_id)
     spans = spans_for(sink, pred.trace_id)
@@ -89,15 +88,6 @@ def assert_request_tree(sink, pred, partition=False):
         for span in workers:
             assert span["parent_span_id"] == dispatch["span_id"]
             assert span["pid"] != parent_pid
-    if partition:
-        # scatter: every shard searches; parent-side merge span exists
-        search_shards = {
-            s["attrs"]["shard"] for s in by_name["serve.search"]
-        }
-        assert len(search_shards) == 2
-        merge = by_name["serve.merge"][0]
-        assert merge["parent_span_id"] == dispatch["span_id"]
-        assert merge["pid"] == parent_pid
     # the whole tree lints clean against the trace schema
     findings = lint_records(enumerate(spans, 1))
     assert [f.message for f in findings] == []
@@ -121,16 +111,6 @@ class TestReplicaModeTracing:
         with server:
             pred = server.submit("m", serve_queries[0]).result(timeout=60.0)
         assert pred.trace_id is None
-
-
-class TestPartitionModeTracing:
-    def test_scatter_gather_spans_reparent_and_merge(
-            self, serve_classifier, serve_queries):
-        server = ShardedServer(_config(mode="partition"))
-        server.register("m", serve_classifier)
-        sink, preds = run_traced(server, serve_queries, n=4)
-        for pred in preds:
-            assert_request_tree(sink, pred, partition=True)
 
 
 class TestChaosKillBundle:
